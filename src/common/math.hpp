@@ -1,9 +1,11 @@
-// Small math helpers: 2-D vectors for the virtual environment and
-// polynomial evaluation shared by the fitting and model layers.
+// Small math helpers: 2-D vectors for the virtual environment, polynomial
+// evaluation shared by the fitting and model layers, and an inline
+// round-to-nearest for the replication lattices.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace roia {
@@ -33,6 +35,18 @@ struct Vec2 {
 
   constexpr bool operator==(const Vec2&) const = default;
 };
+
+/// std::llround without the libm call: rounds half away from zero and
+/// returns exactly what std::llround returns for every double. Magnitudes
+/// below 2^62 are rounded inline (the truncation and the fraction are both
+/// exact there); larger values, infinities and NaN defer to std::llround.
+inline std::int64_t llroundInline(double v) {
+  if (!(std::fabs(v) < 0x1p62)) return std::llround(v);
+  const auto truncated = static_cast<std::int64_t>(v);
+  const double fraction = v - static_cast<double>(truncated);
+  return truncated + static_cast<std::int64_t>(fraction >= 0.5) -
+         static_cast<std::int64_t>(fraction <= -0.5);
+}
 
 /// Horner evaluation of a polynomial with coefficients in ascending order:
 /// coeffs[0] + coeffs[1]*x + coeffs[2]*x^2 + ...

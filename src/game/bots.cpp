@@ -49,11 +49,11 @@ void BotProvider::onStateView(std::uint64_t serverTick, ClientId self,
   // Same seen-list as the full codec: the view carries the bot's own avatar
   // too (it is the baseline for the client's own state), which the full
   // update reports as `self`, not as a visible entity — filter it out. The
-  // map iterates in ascending id order, matching the slot-ordered full list.
+  // view is in ascending id order, matching the slot-ordered full list.
   seenEntities_.clear();
-  for (const auto& [id, snapshot] : view) {
+  for (const rtf::EntitySnapshot& snapshot : view) {
     if (snapshot.client == self) continue;
-    seenEntities_.push_back(id);
+    seenEntities_.push_back(snapshot.id);
   }
 }
 

@@ -155,17 +155,26 @@ struct EntitySnapshot {
   /// entity field names.
   template <class E>
   static EntitySnapshot of(const E& e) {
-    return EntitySnapshot{e.id,
-                          e.kind,
-                          e.owner,
-                          e.client,
-                          static_cast<float>(e.position.x),
-                          static_cast<float>(e.position.y),
-                          static_cast<float>(e.velocity.x),
-                          static_cast<float>(e.velocity.y),
-                          static_cast<float>(e.health),
-                          e.version,
-                          e.appData};
+    EntitySnapshot s;
+    s.assign(e);
+    return s;
+  }
+
+  /// In-place of(): overwrites every field, reusing this snapshot's appData
+  /// buffer (per-tick gathers into a retained vector allocate nothing).
+  template <class E>
+  void assign(const E& e) {
+    id = e.id;
+    kind = e.kind;
+    owner = e.owner;
+    client = e.client;
+    x = static_cast<float>(e.position.x);
+    y = static_cast<float>(e.position.y);
+    vx = static_cast<float>(e.velocity.x);
+    vy = static_cast<float>(e.velocity.y);
+    health = static_cast<float>(e.health);
+    version = e.version;
+    appData.assign(e.appData.begin(), e.appData.end());
   }
 
   template <class E>

@@ -624,7 +624,7 @@ void Server::processReplication() {
     const auto decoded = receiver->second.decodeView(msg.view);
     if (!decoded) continue;  // stale tick or lost baseline; sender keyframes
     PhaseScope scope(meter_, Phase::kFa);
-    for (const auto& [entityId, snapshot] : *decoded->view) applyShadowSnapshot(snapshot);
+    for (const EntitySnapshot& snapshot : *decoded->view) applyShadowSnapshot(snapshot);
     for (const EntityId removed : decoded->removed) retireShadow(removed);
     // Best-effort baseline ack: a lost ack only delays delta compression
     // (the sender keyframes once its window expires).
@@ -780,6 +780,27 @@ void Server::updateNpcs() {
   });
 }
 
+namespace {
+
+/// A client-view entry: the id plus exactly the kClientViewFields. Every
+/// other field keeps its default, is never diffed, and never reaches the
+/// wire, so nothing else (appData above all) is copied.
+EntitySnapshot clientViewEntry(ConstEntityRef e) {
+  static_assert(kClientViewFields ==
+                    (fieldBit(SnapshotField::kX) | fieldBit(SnapshotField::kY) |
+                     fieldBit(SnapshotField::kHealth) | fieldBit(SnapshotField::kClient)),
+                "clientViewEntry copies exactly the client-view fields");
+  EntitySnapshot s;
+  s.id = e.id;
+  s.client = e.client;
+  s.x = static_cast<float>(e.position.x);
+  s.y = static_cast<float>(e.position.y);
+  s.health = static_cast<float>(e.health);
+  return s;
+}
+
+}  // namespace
+
 void Server::sendStateUpdates() {
   // Deepest ladder rung: the shedObservers_ highest client ids get no AOI
   // scan or state update this tick (their inputs still apply and their
@@ -812,21 +833,29 @@ void Server::sendStateUpdates() {
       });
     }
     if (config_.replication.codec == ReplicationCodec::kDelta) {
-      // Delta codec: gather the visible set (plus the viewer itself) into a
-      // view and diff it against this link's acked baseline.
-      SnapshotView view;
-      view.emplace(viewer->id, EntitySnapshot::of(*viewer));
+      // Delta codec: the visible set plus the viewer itself, merged in
+      // ascending id order (AOI slots ascend, and slot order is id order),
+      // then diffed against this link's acked baseline.
+      clientView_.clear();
+      const std::span<const std::uint64_t> ids = world_.ids();
+      bool viewerPlaced = false;
       for (const std::uint32_t slot : aoiScratch_) {
-        const ConstEntityRef e = std::as_const(world_).refAt(slot);
-        view.emplace(e.id, EntitySnapshot::of(e));
+        if (ids[slot] == viewer->id.value) continue;
+        if (!viewerPlaced && ids[slot] > viewer->id.value) {
+          clientView_.push_back(clientViewEntry(*viewer));
+          viewerPlaced = true;
+        }
+        clientView_.push_back(clientViewEntry(std::as_const(world_).refAt(slot)));
       }
+      if (!viewerPlaced) clientView_.push_back(clientViewEntry(*viewer));
+      const SnapshotView& view = clientView_;
       meter_.charge(config_.replication.deltaGatherPerEntityCost *
                     static_cast<double>(view.size()));
       if (session.sender == nullptr) {
         session.sender = std::make_unique<BaselineSender>(codec_, kClientViewFields);
       }
       ser::ByteWriter writer(32 + view.size() * 8);
-      session.sender->encodeView(tickSeq_, std::move(view), {}, writer);
+      session.sender->encodeView(tickSeq_, view, {}, writer);
       meter_.charge(config_.updateSerBaseCost +
                     config_.updateSerPerByteCost * static_cast<double>(writer.size()));
       ser::Frame frame;
@@ -882,12 +911,17 @@ void Server::sendReplicaSyncDelta() {
     replicaSenders_.clear();
     return;
   }
-  // Owned entities, gathered once; every peer link diffs the same view
-  // against its own acked baseline.
-  SnapshotView view;
-  world_.forEach([this, &view](ConstEntityRef e) {
-    if (e.owner == id_) view.emplace(e.id, EntitySnapshot::of(e));
+  // Owned entities, gathered once (ascending ids, reusing each entry's
+  // appData buffer); every peer link diffs the same view against its own
+  // acked baseline.
+  SnapshotView& view = replicaView_;
+  std::size_t owned = 0;
+  world_.forEach([this, &view, &owned](ConstEntityRef e) {
+    if (e.owner != id_) return;
+    if (owned == view.size()) view.emplace_back();
+    view[owned++].assign(e);
   });
+  view.resize(owned);
   std::vector<EntityId> removed = std::move(departedEntities_);
   departedEntities_.clear();
   if (view.empty() && removed.empty()) return;

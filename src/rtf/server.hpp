@@ -417,6 +417,10 @@ class Server : public ForwardSink {
   // unaffected.
   std::vector<std::uint32_t> aoiScratch_;
   std::vector<std::uint8_t> updateScratch_;
+  /// Delta codec: one client's view, rebuilt per client, and the owned
+  /// entities gathered once per tick and shared by every peer link.
+  SnapshotView clientView_;
+  SnapshotView replicaView_;
 
   bool running_{false};
   bool crashed_{false};

@@ -146,7 +146,7 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
   {
     roia::rtf::BaselineSender sender{codec, roia::rtf::kAllFields};
     roia::rtf::SnapshotView view;
-    for (std::uint64_t id = 1; id <= 4; ++id) view.emplace(roia::EntityId{id}, makeEntity(id));
+    for (std::uint64_t id = 1; id <= 4; ++id) view.push_back(makeEntity(id));
 
     roia::ser::ByteWriter keyframe;
     sender.encodeView(1, view, {}, keyframe);
@@ -154,9 +154,9 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
     add(2, keyframe.bytes());
 
     sender.onAck(1);
-    view.at(roia::EntityId{2}).x += 5.0f;
-    view.at(roia::EntityId{2}).health -= 12.5f;
-    view.erase(roia::EntityId{3});
+    view[1].x += 5.0f;  // entity 2
+    view[1].health -= 12.5f;
+    view.erase(view.begin() + 2);  // entity 3
     const roia::EntityId removed[] = {roia::EntityId{3}};
     roia::ser::ByteWriter delta;
     sender.encodeView(2, view, removed, delta);
@@ -166,7 +166,7 @@ std::vector<std::vector<std::uint8_t>> goldenSeeds() {
   {
     roia::rtf::BaselineSender sender{codec, roia::rtf::kClientViewFields};
     roia::rtf::SnapshotView view;
-    view.emplace(roia::EntityId{9}, makeEntity(9));
+    view.push_back(makeEntity(9));
     roia::ser::ByteWriter clientFrame;
     sender.encodeView(5, view, {}, clientFrame);
     add(0, clientFrame.bytes());
