@@ -26,7 +26,8 @@
 // Thread-model note: one policy instance may serve several servers because
 // the simulation executes each server tick as one atomic event; prepare()
 // is called at the start of a tick and queries only happen within that same
-// tick.
+// tick. Structural epochs are unique across worlds, so switching worlds
+// always rebuilds the grid rather than patching another world's layout.
 #pragma once
 
 #include <cstddef>

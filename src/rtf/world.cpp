@@ -1,8 +1,23 @@
 #include "rtf/world.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 namespace roia::rtf {
+namespace {
+
+// Every structural change of every World draws its epoch from this one
+// process-wide counter, so equal epochs always mean the same world (or a
+// copy of it) with no structural change since. A slot-keyed cache shared
+// between worlds, such as the interest grid one application serves to all
+// its servers, can then trust an equal epoch. Epochs are only compared,
+// never printed or hashed, so their values do not affect any output.
+std::uint64_t nextStructuralEpoch() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
 
 EntityRef World::upsert(const EntityRecord& entity) {
   const auto it = slotOf_.find(entity.id.value);
@@ -38,7 +53,7 @@ EntityRef World::upsert(const EntityRecord& entity) {
   cold_.insert(cold_.begin() + p, ColdState{entity.client, entity.version, entity.appData});
   for (std::size_t i = pos + 1; i < ids_.size(); ++i) slotOf_[ids_[i]] = i;
   slotOf_.emplace(entity.id.value, pos);
-  ++structuralEpoch_;
+  structuralEpoch_ = nextStructuralEpoch();
   return refAt(pos);
 }
 
@@ -57,7 +72,7 @@ bool World::remove(EntityId id) {
   healths_.erase(healths_.begin() + p);
   cold_.erase(cold_.begin() + p);
   for (std::size_t i = pos; i < ids_.size(); ++i) slotOf_[ids_[i]] = i;
-  ++structuralEpoch_;
+  structuralEpoch_ = nextStructuralEpoch();
   return true;
 }
 

@@ -14,8 +14,8 @@
 // Slot order == id order: slot i holds the i-th smallest id, so iterating
 // slots ascending visits ids ascending, and sorting a set of slots sorts
 // the corresponding ids. Slot-keyed side structures (the flat interest
-// grid) key off structuralEpoch(): it bumps on every insert-of-a-new-id or
-// remove, never on value-only upserts.
+// grid) key off structuralEpoch(): it changes on every insert-of-a-new-id
+// or remove, never on value-only upserts, and is unique across worlds.
 //
 // Invalidation contract: EntityRef/ConstEntityRef proxies returned by
 // find()/upsert()/refAt() and the refs visited by forEach, the spans
@@ -89,9 +89,12 @@ class World {
   [[nodiscard]] std::span<const Vec2> velocities() const { return velocities_; }
   [[nodiscard]] std::span<const double> healths() const { return healths_; }
 
-  /// Bumped on every structural mutation (insert of a new id, remove);
-  /// value-only upserts of an existing id leave it unchanged. Slot-keyed
-  /// caches (e.g. the flat interest grid) compare against it to detect
+  /// Changes on every structural mutation (insert of a new id, remove);
+  /// value-only upserts of an existing id leave it unchanged. Each change
+  /// draws a fresh value from one process-wide counter, so two worlds show
+  /// the same epoch only when one is a copy of the other with no
+  /// structural change since. Slot-keyed caches (e.g. the flat interest
+  /// grid, which may serve several worlds) compare against it to detect
   /// that their slot mapping went stale.
   [[nodiscard]] std::uint64_t structuralEpoch() const { return structuralEpoch_; }
 

@@ -9,6 +9,10 @@
 //    move / spawn / despawn / handoff churn answers every query exactly
 //    like a grid rebuilt from scratch, with the Euclidean scan as the
 //    independent ground truth.
+// 3. Sharing: one grid serving several worlds (one application instance
+//    serves every server of a cluster) never mistakes one world's layout
+//    for another's, even when both worlds saw the same number of
+//    structural changes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -179,6 +183,51 @@ TEST(InterestProperty, IncrementalGridMatchesFreshGridUnderChurn) {
       ASSERT_EQ(truth, queryOf(fresh, f, viewer, kRadius))
           << "round=" << round << " viewer=" << viewer.id.value;
     });
+  }
+}
+
+// Two worlds whose structural histories have the same length (90 spawns
+// and despawns each) but different entities. A grid shared between them
+// must rebuild when it switches worlds: splicing B's moves into A's layout
+// leaves A's extra slots in the cells, and relocating a slot the layout
+// does not hold drives a cell count below zero.
+TEST(InterestProperty, SharedGridNeverConfusesWorldsWithEqualStructuralHistory) {
+  constexpr double kRadius = 110.0;
+  constexpr double kCell = 55.0;
+  PropertyFixture a;
+  a.populate(80, 7);
+  for (std::uint64_t id = 71; id <= 80; ++id) ASSERT_TRUE(a.world.remove(EntityId{id}));
+  PropertyFixture b;
+  b.populate(70, 7);  // ids 1..70 where A has them
+  for (std::uint64_t id = 51; id <= 70; ++id) ASSERT_TRUE(b.world.remove(EntityId{id}));
+  ASSERT_EQ(a.world.size(), 70u);
+  ASSERT_EQ(b.world.size(), 50u);
+
+  GridInterest shared(kCell);
+  EuclideanInterest oracle;
+  Rng rng(99);
+  for (int round = 0; round < 8; ++round) {
+    for (PropertyFixture* f : {&a, &b}) {
+      shared.prepare(f->world, f->meter);
+      // A whole-rect scan sums every cell's occupancy: foreign slots, or a
+      // cellStart_ pair that stopped being monotone (the difference wraps),
+      // push it off the population.
+      ASSERT_EQ(shared.scanCandidates(f->world, {0, 0}, 1e7), f->world.size())
+          << "round=" << round;
+      oracle.prepare(f->world, f->meter);
+      f->world.forEach([&](rtf::ConstEntityRef viewer) {
+        ASSERT_EQ(queryOf(oracle, *f, viewer, kRadius), queryOf(shared, *f, viewer, kRadius))
+            << "round=" << round << " viewer=" << viewer.id.value;
+      });
+      // A few movers per round keep both worlds on the incremental path.
+      for (int m = 0; m < 4; ++m) {
+        const std::uint64_t id = rng.uniformInt(1, f->world.size());
+        auto entity = f->world.find(EntityId{id});
+        ASSERT_TRUE(entity.has_value());
+        entity->position.x += rng.uniform(-80, 80);
+        entity->position.y += rng.uniform(-80, 80);
+      }
+    }
   }
 }
 
